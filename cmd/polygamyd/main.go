@@ -217,16 +217,14 @@ func prepareFramework(fw *core.Framework, snapshot string, graph bool) (bool, er
 			} else {
 				warm = true
 				_, hasGraph := fw.RelGraph()
-				mode := "gob decode"
-				if format, zeroCopy, ok := fw.LoadedSnapshot(); ok && format == 4 {
-					mode = "flat, copied"
-					if zeroCopy {
-						mode = "flat, zero-copy mmap"
-					}
+				format, zeroCopy, _ := fw.LoadedSnapshot()
+				mode := "flat, copied"
+				if zeroCopy {
+					mode = "flat, zero-copy mmap"
 				}
 				slog.Info("polygamyd: warm start: loaded snapshot, no rebuild",
 					"functions", fw.NumFunctions(), "graph", hasGraph, "snapshot", snapshot,
-					"elapsed", time.Since(t0).Round(time.Millisecond), "mode", mode)
+					"elapsed", time.Since(t0).Round(time.Millisecond), "format", format, "mode", mode)
 			}
 		}
 	}

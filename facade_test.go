@@ -1,7 +1,6 @@
 package datapolygamy
 
 import (
-	"bytes"
 	"path/filepath"
 	"testing"
 	"time"
@@ -23,19 +22,20 @@ func TestParseQueryFacade(t *testing.T) {
 	}
 }
 
-func TestSaveLoadIndexFacade(t *testing.T) {
+func TestIndexSnapshotRoundTripFacade(t *testing.T) {
 	fw := buildCorpus(t)
 	if _, err := fw.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := fw.SaveIndex(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "index.snap")
+	if err := fw.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	fw2 := buildCorpus(t)
-	if err := fw2.LoadIndex(&buf); err != nil {
+	if err := fw2.Load(path); err != nil {
 		t.Fatal(err)
 	}
+	defer fw2.Close()
 	if !fw2.Indexed() || fw2.NumFunctions() != fw.NumFunctions() {
 		t.Error("loaded index mismatch through facade")
 	}
@@ -95,14 +95,15 @@ func TestRelationshipGraphFacade(t *testing.T) {
 	}
 
 	// Save/Load round-trip through the facade.
-	var buf bytes.Buffer
-	if err := fw.SaveGraph(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "graph.snap")
+	if err := fw.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	fw2 := buildCorpus(t)
-	if err := fw2.LoadGraph(&buf); err != nil {
+	if err := fw2.Load(path); err != nil {
 		t.Fatal(err)
 	}
+	defer fw2.Close()
 	g2, ok := fw2.RelGraph()
 	if !ok || !g2.Equal(g) {
 		t.Error("graph Save/Load through the facade changed the graph")

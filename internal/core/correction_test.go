@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/stats"
@@ -197,12 +196,8 @@ func TestGraphCorrectedSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := f.RelGraph()
-	var buf bytes.Buffer
-	if err := f.SaveGraph(&buf); err != nil {
-		t.Fatal(err)
-	}
 	f2 := stressFW(t)
-	if err := f2.LoadGraph(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := f2.Load(saveTemp(t, f)); err != nil {
 		t.Fatal(err)
 	}
 	g2, ok := f2.RelGraph()

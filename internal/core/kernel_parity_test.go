@@ -2,16 +2,40 @@ package core
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/montecarlo"
+	"github.com/urbandata/datapolygamy/internal/stgraph"
 )
+
+// useReferenceKernel routes every significance test of the query path
+// through the scalar reference (montecarlo.ReferenceTest) until the test
+// ends, comparing each call against the vector kernel on the same inputs.
+// It returns the number of calls and of per-call mismatches. Tests that
+// use it must not run in parallel: mcTest is package state.
+func useReferenceKernel(t *testing.T) (calls, mismatches *atomic.Int64) {
+	t.Helper()
+	calls, mismatches = new(atomic.Int64), new(atomic.Int64)
+	prev := mcTest
+	t.Cleanup(func() { mcTest = prev })
+	mcTest = func(a, b *feature.Set, g *stgraph.Graph, tau float64, cfg montecarlo.Config) montecarlo.Result {
+		ref := montecarlo.ReferenceTest(a, b, g, tau, cfg)
+		if montecarlo.Test(a, b, g, tau, cfg) != ref {
+			mismatches.Add(1)
+		}
+		calls.Add(1)
+		return ref
+	}
+	return calls, mismatches
+}
 
 // TestQueryKernelParity: a query evaluated under the scalar reference
 // kernel returns byte-identical relationships (p-values included) to the
-// vector default, end to end through the planner, windowed compaction, and
-// significance layers. Runs on two independently built frameworks because
-// the kernels deliberately share cache signatures.
+// vector kernel, end to end through the planner, windowed compaction, and
+// significance layers. Runs on two independently built frameworks so the
+// reference run cannot be answered from the vector run's cache.
 func TestQueryKernelParity(t *testing.T) {
 	clauses := []Clause{
 		{Permutations: 100},
@@ -26,38 +50,27 @@ func TestQueryKernelParity(t *testing.T) {
 	win.Windowed, win.WindowFrom, win.WindowTo = true, fv.minTS, fv.minTS+120*24*3600
 	clauses = append(clauses, win)
 
-	for _, c := range clauses {
-		vecC, scaC := c, c
-		vecC.Kernel, scaC.Kernel = montecarlo.VectorKernel, montecarlo.ScalarKernel
-		vec, _, err := fv.Query(Query{Clause: vecC})
+	vec := make([][]Relationship, len(clauses))
+	for i, c := range clauses {
+		var err error
+		if vec[i], _, err = fv.Query(Query{Clause: c}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	calls, mismatches := useReferenceKernel(t)
+	for i, c := range clauses {
+		sca, _, err := fs.Query(Query{Clause: c})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sca, _, err := fs.Query(Query{Clause: scaC})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(vec, sca) {
-			t.Fatalf("clause %+v: vector kernel results differ from scalar:\n vector %v\n scalar %v", c, vec, sca)
+		if !reflect.DeepEqual(vec[i], sca) {
+			t.Fatalf("clause %+v: vector kernel results differ from scalar:\n vector %v\n scalar %v", c, vec[i], sca)
 		}
 	}
-}
-
-// TestKernelSharesCacheSignature pins the design decision that Kernel is
-// excluded from query signatures: the kernels are byte-identical, so a
-// scalar re-run of a vector-cached query must hit the cache (and vice
-// versa) rather than recompute.
-func TestKernelSharesCacheSignature(t *testing.T) {
-	vecC := Clause{Permutations: 60, Kernel: montecarlo.VectorKernel}
-	scaC := Clause{Permutations: 60, Kernel: montecarlo.ScalarKernel}
-	if querySignature(nil, nil, vecC) != querySignature(nil, nil, scaC) {
-		t.Fatal("kernel choice leaked into the query signature")
+	if calls.Load() == 0 {
+		t.Fatal("no significance test ran through the reference kernel")
 	}
-	f := buildFW(t, appendCorpus(t, 0))
-	if _, st, err := f.Query(Query{Clause: vecC}); err != nil || st.CacheHit {
-		t.Fatalf("first query: err=%v cacheHit=%t", err, st.CacheHit)
-	}
-	if _, st, err := f.Query(Query{Clause: scaC}); err != nil || !st.CacheHit {
-		t.Fatalf("scalar re-run of vector-cached query: err=%v cacheHit=%t, want hit", err, st.CacheHit)
+	if n := mismatches.Load(); n != 0 {
+		t.Errorf("%d of %d significance tests differ between the kernels", n, calls.Load())
 	}
 }

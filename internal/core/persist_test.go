@@ -1,66 +1,18 @@
 package core
 
 import (
-	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"github.com/urbandata/datapolygamy/internal/store"
 )
 
-func TestSaveLoadIndexRoundTrip(t *testing.T) {
-	f := newFW(t)
-	wind, trips := plantedPair(30, randomHours(31, 60), nil)
-	_ = f.AddDataset(wind)
-	_ = f.AddDataset(trips)
-	if _, err := f.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	before, _, err := f.Query(Query{Clause: Clause{Permutations: 80}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := f.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh framework over the same corpus loads the index and answers
-	// identically without rebuilding.
-	g := newFW(t)
-	wind2, trips2 := plantedPair(30, randomHours(31, 60), nil)
-	_ = g.AddDataset(wind2)
-	_ = g.AddDataset(trips2)
-	if err := g.LoadIndex(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if !g.Indexed() {
-		t.Fatal("LoadIndex should mark the framework indexed")
-	}
-	if g.NumFunctions() != f.NumFunctions() {
-		t.Fatalf("loaded %d functions, want %d", g.NumFunctions(), f.NumFunctions())
-	}
-	after, _, err := g.Query(Query{Clause: Clause{Permutations: 80}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(before) {
-		t.Fatalf("loaded index yields %d relationships, original %d", len(after), len(before))
-	}
-	for i := range after {
-		if after[i].Function1 != before[i].Function1 || after[i].Score != before[i].Score {
-			t.Fatalf("relationship %d differs after reload:\n  %v\n  %v", i, after[i], before[i])
-		}
-	}
-}
-
-func TestSaveIndexRequiresBuild(t *testing.T) {
-	f := newFW(t)
-	var buf bytes.Buffer
-	if err := f.SaveIndex(&buf); err == nil {
-		t.Error("SaveIndex before BuildIndex should fail")
-	}
-}
-
-func TestLoadIndexValidatesCorpus(t *testing.T) {
+// TestLoadValidatesCorpus: Load refuses a snapshot of another corpus and
+// garbage input — a foreign file, and a well-formed container whose index
+// section is not an index — leaving the framework unindexed.
+func TestLoadValidatesCorpus(t *testing.T) {
 	f := newFW(t)
 	wind, trips := plantedPair(32, []int{5}, nil)
 	_ = f.AddDataset(wind)
@@ -68,24 +20,39 @@ func TestLoadIndexValidatesCorpus(t *testing.T) {
 	if _, err := f.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := f.SaveIndex(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "corpus.snap")
+	if err := f.Save(path); err != nil {
 		t.Fatal(err)
 	}
 
-	// Different dataset set must be rejected.
+	// A different data set collection must be rejected.
 	g := newFW(t)
 	wind2, _ := plantedPair(32, []int{5}, nil)
 	_ = g.AddDataset(wind2)
-	if err := g.LoadIndex(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("LoadIndex with mismatched corpus should fail")
+	if err := g.Load(path); err == nil {
+		t.Error("Load with mismatched corpus should fail")
+	}
+	if g.Indexed() {
+		t.Error("failed Load left the framework indexed")
 	}
 
-	// Garbage input must be rejected.
+	// Garbage input must be rejected: a foreign file, and a container
+	// whose index section holds no index.
 	h := newFW(t)
 	_ = h.AddDataset(wind)
 	_ = h.AddDataset(trips)
-	if err := h.LoadIndex(bytes.NewReader([]byte("not an index"))); err == nil {
-		t.Error("LoadIndex of garbage should fail")
+	junk := filepath.Join(t.TempDir(), "junk.snap")
+	if err := os.WriteFile(junk, []byte("not an index"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Load(junk); !errors.Is(err, store.ErrNotSnapshot) {
+		t.Errorf("Load of a foreign file: err = %v, want ErrNotSnapshot", err)
+	}
+	bad := rewriteSection(t, path, store.SectionIndex, []byte("not an index, padded to 8"))
+	if err := h.Load(bad); !errors.Is(err, store.ErrCorrupt) {
+		t.Errorf("Load of a garbage index section: err = %v, want ErrCorrupt", err)
+	}
+	if h.Indexed() {
+		t.Error("failed Load left the framework indexed")
 	}
 }

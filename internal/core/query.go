@@ -39,12 +39,6 @@ type Clause struct {
 	SkipSignificance bool
 	// TestKind selects restricted (default) or standard permutation tests.
 	TestKind montecarlo.Kind
-	// Kernel selects the Monte Carlo tau kernel (vector by default, scalar
-	// as the differential reference). Both kernels are byte-identical by
-	// construction, so Kernel is deliberately excluded from querySignature
-	// — scalar and vector runs share cache entries and snapshot-persisted
-	// graph edges — and is never persisted itself.
-	Kernel montecarlo.Kernel
 	// Correction selects the multiple-hypothesis correction applied across
 	// the query's tested pairs (stats.None, stats.BH, or stats.BY). Under a
 	// correction, every evaluated pair receives a q-value computed over the

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"path/filepath"
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/relgraph"
+	"github.com/urbandata/datapolygamy/internal/store"
 )
 
 // graphClause is the cheap test clause shared by the graph tests.
@@ -122,8 +122,21 @@ func TestGraphIncrementalEquivalence(t *testing.T) {
 	}
 }
 
-// TestGraphSaveLoadRoundTrip asserts that a SaveGraph/LoadGraph round-trip
-// preserves the graph exactly and keeps the pair cache warm.
+// saveTemp saves f to a fresh snapshot file and returns its path.
+func saveTemp(t *testing.T, f *Framework) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "corpus.snap")
+	if err := f.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestGraphSaveLoadRoundTrip asserts that a snapshot Save/Load round-trip
+// preserves the graph exactly and keeps the pair cache warm, and that
+// Load refuses a graph section its framework could not have built: an
+// unregistered data set, another Monte Carlo seed, or pairs out of
+// canonical order.
 func TestGraphSaveLoadRoundTrip(t *testing.T) {
 	f := stressFW(t)
 	clause := graphClause()
@@ -131,18 +144,15 @@ func TestGraphSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := f.RelGraph()
-	var buf bytes.Buffer
-	if err := f.SaveGraph(&buf); err != nil {
-		t.Fatal(err)
-	}
+	path := saveTemp(t, f)
 
 	f2 := stressFW(t)
-	if err := f2.LoadGraph(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := f2.Load(path); err != nil {
 		t.Fatal(err)
 	}
 	g2, ok := f2.RelGraph()
 	if !ok {
-		t.Fatal("RelGraph not available after LoadGraph")
+		t.Fatal("RelGraph not available after Load")
 	}
 	if !g2.Equal(g) {
 		t.Error("Save/Load round-trip changed the graph")
@@ -160,53 +170,41 @@ func TestGraphSaveLoadRoundTrip(t *testing.T) {
 		t.Error("post-load rebuild changed the graph")
 	}
 
-	// A framework missing the snapshot's data sets must reject the load.
-	f3 := newFW(t)
-	wind, _ := plantedPair(10, randomHours(17, 40), nil)
-	if err := f3.AddDataset(wind); err != nil {
-		t.Fatal(err)
-	}
-	if err := f3.LoadGraph(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("expected LoadGraph error for unregistered data sets")
-	}
-
-	// A framework with a different Monte Carlo seed must reject the load:
-	// its own BuildGraph could never have produced these edges, so reusing
-	// them would break parity with Query.
-	f4, err := New(Options{City: testCity(t), Workers: 2, Seed: 6})
+	// The remaining cases damage only the graph section, so the manifest
+	// fingerprint still matches and the graph-level checks must catch it.
+	_, sections, err := store.Read(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, t2 := plantedPair(10, randomHours(17, 40), nil)
-	g2n, r2 := plantedPair(11, randomHours(19, 40), randomHours(21, 20))
-	g2n.Name, r2.Name = "gusts", "rides"
-	for _, e := range []error{f4.AddDataset(w2), f4.AddDataset(t2), f4.AddDataset(g2n), f4.AddDataset(r2)} {
-		if e != nil {
-			t.Fatal(e)
-		}
-	}
-	if err := f4.LoadGraph(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("expected LoadGraph error for a mismatched framework seed")
-	}
-
-	// Pairs stored in non-canonical order would dodge the duplicate check
-	// and miss BuildGraph's canonical cache lookups: reject them.
-	var bad bytes.Buffer
-	f.mu.RLock()
-	snap := frameworkGraphSnapshot{
-		Version: graphSnapshotVersion,
-		Sig:     f.graphSig,
-		Seed:    f.opts.Seed,
-		MinTS:   f.minTS,
-		MaxTS:   f.maxTS,
-		Pairs:   []graphPairSnapshot{{A: "wind", B: "trips"}}, // wind > trips
-	}
-	f.mu.RUnlock()
-	if err := gob.NewEncoder(&bad).Encode(&snap); err != nil {
+	snap, err := parseFlatGraph(sections[store.SectionGraph])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f2.LoadGraph(bytes.NewReader(bad.Bytes())); err == nil {
-		t.Error("expected LoadGraph error for a non-canonical pair order")
+	cases := []struct {
+		name   string
+		mutate func(s *graphSnapshot)
+	}{
+		// A pair naming a data set the framework does not have.
+		{"unregistered data set", func(s *graphSnapshot) { s.Pairs[0].A = "aardvark" }},
+		// Another seed: this framework's own BuildGraph could never have
+		// produced these edges, so reusing them would break parity with Query.
+		{"seed mismatch", func(s *graphSnapshot) { s.Seed++ }},
+		// Pairs out of canonical order would dodge the duplicate check and
+		// miss BuildGraph's canonical cache lookups.
+		{"non-canonical pair order", func(s *graphSnapshot) { s.Pairs[0].A, s.Pairs[0].B = s.Pairs[0].B, s.Pairs[0].A }},
+		{"repeated pair", func(s *graphSnapshot) { s.Pairs[1] = s.Pairs[0] }},
+	}
+	for _, tc := range cases {
+		bad := snap
+		bad.Pairs = append([]graphPairSnapshot(nil), snap.Pairs...)
+		tc.mutate(&bad)
+		f3 := stressFW(t)
+		if err := f3.Load(rewriteSection(t, path, store.SectionGraph, encodeFlatGraph(bad))); err == nil {
+			t.Errorf("%s: Load accepted the graph section", tc.name)
+		}
+		if _, ok := f3.RelGraph(); ok {
+			t.Errorf("%s: failed Load published a graph", tc.name)
+		}
 	}
 }
 
@@ -217,9 +215,6 @@ func TestBuildGraphRequiresIndex(t *testing.T) {
 	}
 	if _, ok := f.RelGraph(); ok {
 		t.Error("RelGraph should not be available before BuildGraph")
-	}
-	if err := f.SaveGraph(&bytes.Buffer{}); err == nil {
-		t.Error("expected SaveGraph error before BuildGraph")
 	}
 }
 

@@ -2,15 +2,14 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"time"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/mapreduce"
 	"github.com/urbandata/datapolygamy/internal/relgraph"
+	"github.com/urbandata/datapolygamy/internal/store"
 )
 
 // This file is the sharded form of BuildGraph: the all-pairs Monte Carlo
@@ -28,7 +27,10 @@ import (
 //
 // A shard payload is self-describing: it carries the clause signature its
 // candidates were computed under, the corpus fingerprint fields the
-// significance seeds depend on, and its (shard, of) coordinates.
+// significance seeds depend on, and its (shard, of) coordinates. It is a
+// flat payload (internal/store's slab encoding) whose per-pair candidate
+// families use the same pair codec as the snapshot graph section
+// (writeFlatPairs), so a shard and a snapshot encode a pair identically.
 // MergeGraphShards refuses payloads from another clause, another corpus,
 // an inconsistent partition, or an incomplete one — a merged graph either
 // covers exactly the current corpus's pair space or is not published.
@@ -50,18 +52,58 @@ func PairShard(a, b string, of int) int {
 	return int(h.Sum64() % uint64(of))
 }
 
-// graphShardVersion guards the shard payload encoding.
-const graphShardVersion = 1
-
-// graphShard is the wire form of one computed shard: the per-pair tested
-// candidate families for every pair the shard owns.
+// graphShard is one computed shard: the per-pair tested candidate
+// families for every pair the shard owns.
 type graphShard struct {
-	Version      int
 	Sig          string // graphSignature of the clause
 	Seed         int64
 	MinTS, MaxTS int64
 	Shard, Of    int
 	Pairs        []graphPairSnapshot
+}
+
+// encodeGraphShard lays a shard out as a flat payload; parseGraphShard is
+// its inverse.
+func encodeGraphShard(sh graphShard) []byte {
+	w := store.NewSlabWriter(4096)
+	w.Raw(flatShardMagic)
+	w.U64(flatSnapshotVersion)
+	w.String(sh.Sig)
+	w.I64(sh.Seed)
+	w.I64(sh.MinTS)
+	w.I64(sh.MaxTS)
+	w.I64(int64(sh.Shard))
+	w.I64(int64(sh.Of))
+	writeFlatPairs(w, sh.Pairs)
+	return w.Finish()
+}
+
+// parseGraphShard decodes a shard payload. Shards arrive from other
+// processes (POST /v1/graph/merge), so every failure wraps
+// store.ErrCorrupt and no count can drive an allocation beyond the
+// payload's size. The decoded strings alias a private copy of data, so
+// the caller may reuse its buffer.
+func parseGraphShard(data []byte) (graphShard, error) {
+	var sh graphShard
+	if !bytes.HasPrefix(data, flatShardMagic) {
+		return sh, corruptf("graph shard is not a flat v%d shard", flatSnapshotVersion)
+	}
+	r := store.NewSlabReader(bytes.Clone(data))
+	r.Raw(len(flatShardMagic))
+	if v := r.U64(); r.Err() == nil && v != flatSnapshotVersion {
+		return sh, corruptf("graph shard version %d, want %d", v, flatSnapshotVersion)
+	}
+	sh.Sig = r.String()
+	sh.Seed = r.I64()
+	sh.MinTS = r.I64()
+	sh.MaxTS = r.I64()
+	sh.Shard = int(r.I64())
+	sh.Of = int(r.I64())
+	sh.Pairs = readFlatPairs(r)
+	if err := r.Done(); err != nil {
+		return sh, err
+	}
+	return sh, nil
 }
 
 // BuildGraphShard computes the tested candidate families for the unordered
@@ -153,30 +195,17 @@ func (f *Framework) BuildGraphShard(clause Clause, shard, of int) ([]byte, error
 		}
 	}
 
-	out := graphShard{
-		Version: graphShardVersion,
-		Sig:     sig,
-		Seed:    f.opts.Seed,
-		MinTS:   f.minTS,
-		MaxTS:   f.maxTS,
-		Shard:   shard,
-		Of:      of,
-	}
-	sort.Slice(owned, func(i, j int) bool {
-		if owned[i].A != owned[j].A {
-			return owned[i].A < owned[j].A
-		}
-		return owned[i].B < owned[j].B
+	payload := encodeGraphShard(graphShard{
+		Sig:   sig,
+		Seed:  f.opts.Seed,
+		MinTS: f.minTS,
+		MaxTS: f.maxTS,
+		Shard: shard,
+		Of:    of,
+		Pairs: canonicalPairs(owned, f.graphCands),
 	})
-	for _, key := range owned {
-		out.Pairs = append(out.Pairs, graphPairSnapshot{A: key.A, B: key.B, Cands: f.graphCands[key]})
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&out); err != nil {
-		return nil, fmt.Errorf("core: encoding graph shard: %w", err)
-	}
 	mGraphShardsComputed.Inc()
-	return buf.Bytes(), nil
+	return payload, nil
 }
 
 // MergeGraphShards merges shard payloads produced by BuildGraphShard under
@@ -204,12 +233,9 @@ func (f *Framework) MergeGraphShards(clause Clause, shards [][]byte) (GraphStats
 	seen := make(map[int]bool)
 	cands := make(map[graphPair][]relgraph.Edge)
 	for i, raw := range shards {
-		var sh graphShard
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&sh); err != nil {
+		sh, err := parseGraphShard(raw)
+		if err != nil {
 			return st, fmt.Errorf("core: decoding shard %d: %w", i, err)
-		}
-		if sh.Version != graphShardVersion {
-			return st, fmt.Errorf("core: shard %d has version %d, want %d", i, sh.Version, graphShardVersion)
 		}
 		if sh.Sig != sig {
 			return st, fmt.Errorf("core: shard %d was computed under a different clause", i)

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/stats"
+	"github.com/urbandata/datapolygamy/internal/store"
 )
 
 // shardCorpus builds a four-data-set corpus (6 unordered pairs, so 2- and
@@ -149,6 +151,11 @@ func TestMergeGraphShardsRejectsBadPartitions(t *testing.T) {
 			t.Errorf("%s: merge unexpectedly succeeded", tc.name)
 		}
 	}
+	for _, bad := range [][]byte{[]byte("junk"), s0[:len(s0)-8], append(append([]byte(nil), s0...), 0, 0, 0, 0, 0, 0, 0, 0)} {
+		if _, err := f.MergeGraphShards(clause, [][]byte{bad, s1}); !errors.Is(err, store.ErrCorrupt) {
+			t.Errorf("damaged shard (%d bytes): err = %v, want ErrCorrupt", len(bad), err)
+		}
+	}
 
 	// A valid merge still works after all those rejections.
 	if _, err := f.MergeGraphShards(clause, [][]byte{s1, s0}); err != nil {
@@ -190,4 +197,61 @@ func TestPairShardPartitions(t *testing.T) {
 	if PairShard("x", "y", 0) != 0 {
 		t.Fatal("degenerate partition width should map to shard 0")
 	}
+}
+
+// TestShardSharesSnapshotPairCodec: a one-way shard and the snapshot graph
+// section of the same build end in the same per-pair candidate bytes —
+// one pair codec serves both — and the shard codec round-trips.
+func TestShardSharesSnapshotPairCodec(t *testing.T) {
+	clause := Clause{Permutations: 120}
+	f := shardCorpus(t)
+	if _, err := f.BuildGraph(clause); err != nil {
+		t.Fatal(err)
+	}
+	shard, err := f.BuildGraphShard(clause, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.mu.RLock()
+	section, _, err := f.encodeFlatGraphLocked()
+	f.mu.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := parseGraphShard(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sh.Pairs) != 6 || sh.Shard != 0 || sh.Of != 1 || sh.Seed != 5 {
+		t.Fatalf("parsed shard = %d pairs, shard %d of %d, seed %d", len(sh.Pairs), sh.Shard, sh.Of, sh.Seed)
+	}
+	w := store.NewSlabWriter(0)
+	writeFlatPairs(w, sh.Pairs)
+	pairs := w.Finish()
+	if !bytes.HasSuffix(shard, pairs) || !bytes.HasSuffix(section, pairs) {
+		t.Error("shard and snapshot graph section encode the candidate pairs differently")
+	}
+	if !bytes.Equal(encodeGraphShard(sh), shard) {
+		t.Error("shard codec does not round-trip")
+	}
+}
+
+// FuzzParseGraphShard: shards arrive from other processes over
+// POST /v1/graph/merge, so the parser must never panic and must fail only
+// with errors wrapping store.ErrCorrupt.
+func FuzzParseGraphShard(f *testing.F) {
+	fw := shardCorpus(f)
+	shard, err := fw.BuildGraphShard(Clause{Permutations: 60}, 1, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(shard)
+	f.Add(shard[:len(shard)/2])
+	f.Add(flatShardMagic)
+	f.Add([]byte("DPSHFLT\x04"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := parseGraphShard(data); err != nil && !errors.Is(err, store.ErrCorrupt) {
+			t.Errorf("non-ErrCorrupt failure: %v", err)
+		}
+	})
 }

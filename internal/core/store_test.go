@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -96,11 +97,10 @@ func TestSaveOpenQueryParity(t *testing.T) {
 	}
 }
 
-// TestSaveSectionParity pins the format-transition invariant: the flat v4
-// container Save writes and a legacy gob container of the same state load
-// into semantically identical frameworks — same query results, same
-// materialized graph, same originating clause. (Raw section bytes cannot
-// be compared across encodings.)
+// TestSaveSectionParity pins the snapshot round-trip invariant: a
+// framework loaded from a snapshot answers, graphs, and reports its index
+// exactly like the one that saved it, and saving it again reproduces the
+// original section payloads byte for byte.
 func TestSaveSectionParity(t *testing.T) {
 	f, _ := snapshotCorpus(t)
 	if _, err := f.BuildIndex(); err != nil {
@@ -111,75 +111,68 @@ func TestSaveSectionParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	flatPath := filepath.Join(dir, "flat.snap")
-	gobPath := filepath.Join(dir, "gob.snap")
-	if err := f.Save(flatPath); err != nil {
+	path := filepath.Join(dir, "first.snap")
+	if err := f.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.saveContainer(gobPath, false); err != nil {
-		t.Fatal(err)
-	}
-
-	// The default Save output really is the flat generation, and the gob
-	// seam really is the legacy one.
-	for path, want := range map[string]int{flatPath: 4, gobPath: 3} {
-		m, err := store.ReadManifest(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.SnapshotFormat(); got != want {
-			t.Errorf("%s: snapshot format %d, want %d", path, got, want)
-		}
-	}
-
-	open := func(path string) *Framework {
-		t.Helper()
-		wind, trips := plantedPair(30, randomHours(31, 60), nil)
-		g, err := Open(path, OpenOptions{
-			Options:  Options{City: testCity(t), Workers: 2, Seed: 5},
-			Datasets: []*dataset.Dataset{wind, trips},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	ff, fg := open(flatPath), open(gobPath)
-	if format, _, ok := ff.LoadedSnapshot(); !ok || format != 4 {
-		t.Errorf("flat open: LoadedSnapshot format = %d, want 4", format)
-	}
-	if format, zc, ok := fg.LoadedSnapshot(); !ok || format != 3 || zc {
-		t.Errorf("gob open: LoadedSnapshot = (%d, %t), want (3, false)", format, zc)
-	}
-
-	rf, _, err := ff.Query(Query{Clause: clause})
+	m, err := store.ReadManifest(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rg, _, err := fg.Query(Query{Clause: clause})
+	if m.FormatVersion != store.FormatVersion {
+		t.Errorf("snapshot format %d, want %d", m.FormatVersion, store.FormatVersion)
+	}
+
+	g, _ := snapshotCorpus(t)
+	if err := g.Load(path); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	if format, _, ok := g.LoadedSnapshot(); !ok || format != store.FormatVersion {
+		t.Errorf("LoadedSnapshot format = %d (ok %t), want %d", format, ok, store.FormatVersion)
+	}
+	want, _, err := f.Query(Query{Clause: clause})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rf, rg) {
-		t.Errorf("flat and gob snapshots answer differently:\n flat %v\n gob  %v", rf, rg)
+	got, _, err := g.Query(Query{Clause: clause})
+	if err != nil {
+		t.Fatal(err)
 	}
-	gf, ok1 := ff.RelGraph()
-	gg, ok2 := fg.RelGraph()
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("loaded snapshot answers differently:\n saved  %v\n loaded %v", want, got)
+	}
+	gf, ok1 := f.RelGraph()
+	gg, ok2 := g.RelGraph()
 	if !ok1 || !ok2 || !gf.Equal(gg) {
-		t.Errorf("materialized graphs differ across encodings (ok=%t,%t)", ok1, ok2)
+		t.Errorf("materialized graphs differ across Save/Load (ok=%t,%t)", ok1, ok2)
 	}
-	cf, _ := ff.GraphClause()
-	cg, _ := fg.GraphClause()
-	if !reflect.DeepEqual(cf, cg) || !reflect.DeepEqual(cf, clause) {
-		t.Errorf("GraphClause differs: flat %+v gob %+v want %+v", cf, cg, clause)
+	if cg, _ := g.GraphClause(); !reflect.DeepEqual(cg, clause) {
+		t.Errorf("GraphClause = %+v, want %+v", cg, clause)
 	}
-	// Per-entry parity: thresholds, occupancy, and feature vectors all
-	// round-trip identically through both encodings.
-	for _, name := range ff.Datasets() {
-		sf, _ := ff.DatasetIndexStats(name)
-		sg, _ := fg.DatasetIndexStats(name)
+	for _, name := range f.Datasets() {
+		sf, _ := f.DatasetIndexStats(name)
+		sg, _ := g.DatasetIndexStats(name)
 		if !reflect.DeepEqual(sf, sg) {
-			t.Errorf("%s: index stats differ: flat %+v gob %+v", name, sf, sg)
+			t.Errorf("%s: index stats differ: saved %+v loaded %+v", name, sf, sg)
+		}
+	}
+
+	again := filepath.Join(dir, "second.snap")
+	if err := g.Save(again); err != nil {
+		t.Fatal(err)
+	}
+	_, first, err := store.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, second, err := store.Read(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{store.SectionIndex, store.SectionGraph} {
+		if !bytes.Equal(first[name], second[name]) {
+			t.Errorf("section %q changed across Save -> Load -> Save", name)
 		}
 	}
 }
@@ -262,7 +255,7 @@ func TestLoadRejectsForeignCorpus(t *testing.T) {
 }
 
 // TestLoadRejectsCorruptContainer flips one payload bit and asserts the
-// rejection is section-level, before any gob decoding.
+// rejection is section-level, before any section is decoded.
 func TestLoadRejectsCorruptContainer(t *testing.T) {
 	f, datasets := snapshotCorpus(t)
 	if _, err := f.BuildIndex(); err != nil {

@@ -74,6 +74,11 @@ func bitmapFull(bm []uint64, n int) bool {
 	return true
 }
 
+// mcTest is the significance test every query and graph build runs. It is
+// a variable only so the end-to-end kernel parity test can substitute the
+// scalar reference (montecarlo.ReferenceTest); nothing else assigns it.
+var mcTest = montecarlo.Test
+
 // runSignificance runs the pair's Monte Carlo test over its supporting
 // tiles. s1/s2/u1/u2 are the (window-masked, when the clause is windowed)
 // feature sets and unions the relationship was evaluated on; tau is the
@@ -90,7 +95,6 @@ func (f *Framework) runSignificance(t pairTask, clause Clause, s1, s2 *feature.S
 		Alpha:        clause.Alpha,
 		Seed:         t.seed,
 		Kind:         clause.TestKind,
-		Kernel:       clause.Kernel,
 		Workers:      mcWorkers,
 		Exhaustive:   clause.Exhaustive,
 	}
@@ -113,7 +117,7 @@ func (f *Framework) runSignificance(t pairTask, clause Clause, s1, s2 *feature.S
 		// else: entries without tile metadata (hand-built) — full domain.
 	}
 	if supp == nil || bitmapFull(supp, nTiles) {
-		return montecarlo.Test(s1, s2, g, tau, cfg), nil
+		return mcTest(s1, s2, g, tau, cfg), nil
 	}
 
 	// Compact the vectors onto the supporting tiles and test on a graph of
@@ -138,7 +142,7 @@ func (f *Framework) runSignificance(t pairTask, clause Clause, s1, s2 *feature.S
 		Positive: compactToTiles(s2.Positive, supp, w, R, S, steps),
 		Negative: compactToTiles(s2.Negative, supp, w, R, S, steps),
 	}
-	return montecarlo.Test(cs1, cs2, cg, tau, cfg), nil
+	return mcTest(cs1, cs2, cg, tau, cfg), nil
 }
 
 // compactToTiles concatenates the vertex-bit ranges of the supporting tiles

@@ -40,38 +40,42 @@ func denseSets(rng *rand.Rand, nVerts int, density float64, lo, hi int) (*featur
 	return a, b
 }
 
-// runBothKernels runs the same test under the scalar and vector kernels,
-// capturing the full per-permutation tau streams, and requires bitwise
-// identity of both the streams and the Results.
+// kernelName labels the kernel a test/testRun flag selects.
+func kernelName(scalar bool) string {
+	if scalar {
+		return "scalar"
+	}
+	return "vector"
+}
+
+// checkKernelParity runs the same test under the scalar reference and the
+// vector kernel, capturing the full per-permutation tau streams, and
+// requires bitwise identity of both the streams and the Results.
 func checkKernelParity(t *testing.T, a, b *feature.Set, g *stgraph.Graph, tau float64, cfg Config) {
 	t.Helper()
-	streams := map[Kernel][]float64{}
-	results := map[Kernel]Result{}
-	for _, kernel := range []Kernel{ScalarKernel, VectorKernel} {
+	var streams [2][]float64
+	var results [2]Result
+	for i, scalar := range []bool{true, false} {
 		c := cfg
-		c.Kernel = kernel
 		c.Exhaustive = true // cover every permutation index in the stream
 		taus := make([]float64, c.Permutations)
-		results[kernel] = test(a, b, g, tau, c, func(perm int, tauK float64) {
+		results[i] = test(a, b, g, tau, c, scalar, func(perm int, tauK float64) {
 			taus[perm] = tauK
 		})
-		streams[kernel] = taus
+		streams[i] = taus
 	}
-	if results[ScalarKernel] != results[VectorKernel] {
-		t.Fatalf("Result mismatch: scalar %+v vector %+v (cfg %+v)",
-			results[ScalarKernel], results[VectorKernel], cfg)
+	if results[0] != results[1] {
+		t.Fatalf("Result mismatch: scalar %+v vector %+v (cfg %+v)", results[0], results[1], cfg)
 	}
-	for i := range streams[ScalarKernel] {
-		if streams[ScalarKernel][i] != streams[VectorKernel][i] {
+	for i := range streams[0] {
+		if streams[0][i] != streams[1][i] {
 			t.Fatalf("tau stream diverges at permutation %d: scalar %v vector %v (cfg %+v)",
-				i, streams[ScalarKernel][i], streams[VectorKernel][i], cfg)
+				i, streams[0][i], streams[1][i], cfg)
 		}
 	}
 	// Adaptive runs must agree too (identical chunks counts => identical
 	// stopping point and truncated p-value).
-	sc, vc := cfg, cfg
-	sc.Kernel, vc.Kernel = ScalarKernel, VectorKernel
-	if rs, rv := Test(a, b, g, tau, sc), Test(a, b, g, tau, vc); rs != rv {
+	if rs, rv := ReferenceTest(a, b, g, tau, cfg), Test(a, b, g, tau, cfg); rs != rv {
 		t.Fatalf("adaptive Result mismatch: scalar %+v vector %+v (cfg %+v)", rs, rv, cfg)
 	}
 }
@@ -164,27 +168,6 @@ func TestKernelParityOneSided(t *testing.T) {
 	}
 }
 
-func TestParseKernel(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Kernel
-	}{{"vector", VectorKernel}, {"scalar", ScalarKernel}} {
-		got, err := ParseKernel(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseKernel(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Errorf("Kernel(%v).String() = %q, want %q", got, got.String(), tc.in)
-		}
-	}
-	if _, err := ParseKernel("simd"); err == nil {
-		t.Error("ParseKernel(simd) should fail")
-	}
-	if s := Kernel(99).String(); s != "montecarlo.Kernel(?)" {
-		t.Errorf("invalid kernel String() = %q", s)
-	}
-}
-
 // TestPermIntoMatchesRandPerm pins permInto to rand.Perm's exact draw
 // sequence (the vector kernel's allocation-free replacement must consume
 // the RNG identically or permutation streams silently diverge).
@@ -226,7 +209,8 @@ func TestToroidalScratchMatchesPublic(t *testing.T) {
 
 // TestChunkSteadyStateAllocs asserts the tentpole's allocation contract:
 // after the first chunk sizes the scratch buffers, evaluating further
-// permutation chunks allocates nothing, for every Kind under both kernels.
+// permutation chunks allocates nothing, for every Kind under the vector
+// kernel and the scalar reference.
 func TestChunkSteadyStateAllocs(t *testing.T) {
 	g, err := stgraph.New(16, 128, grid(4, 4))
 	if err != nil {
@@ -235,20 +219,20 @@ func TestChunkSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a, b := denseSets(rng, g.NumVertices(), 0.1, 0, g.NumVertices())
 	for _, kind := range []Kind{Restricted, Standard, Block} {
-		for _, kernel := range []Kernel{VectorKernel, ScalarKernel} {
+		for _, scalar := range []bool{false, true} {
 			run := &testRun{
 				a: a, pos2: b.Positive.Ones(), neg2: b.Negative.Ones(),
 				g: g, tau: 0.9,
-				cfg: Config{Permutations: 200, Alpha: 0.05, Seed: 5, Kind: kind, Kernel: kernel},
+				cfg: Config{Permutations: 200, Alpha: 0.05, Seed: 5, Kind: kind},
 			}
-			if kernel == VectorKernel {
+			if !scalar {
 				run.prep = newVectorPrep(a, b, g, kind)
 			}
 			sc := run.newScratch()
 			run.chunk(0, sc) // size the scratch buffers
 			if allocs := testing.AllocsPerRun(5, func() { run.chunk(1, sc) }); allocs != 0 {
 				t.Errorf("kind=%v kernel=%v: steady-state chunk allocates %.0f objects, want 0",
-					kind, kernel, allocs)
+					kind, kernelName(scalar), allocs)
 			}
 		}
 	}
@@ -300,14 +284,14 @@ func BenchmarkShiftedTauKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	fa, fb := denseSets(rng, g.NumVertices(), 0.08, 0, g.NumVertices())
 	for _, kind := range []Kind{Restricted, Standard, Block} {
-		for _, kernel := range []Kernel{ScalarKernel, VectorKernel} {
-			b.Run(kind.String()+"/"+kernel.String(), func(b *testing.B) {
+		for _, scalar := range []bool{true, false} {
+			b.Run(kind.String()+"/"+kernelName(scalar), func(b *testing.B) {
 				run := &testRun{
 					a: fa, pos2: fb.Positive.Ones(), neg2: fb.Negative.Ones(),
 					g: g, tau: 0.9,
-					cfg: Config{Permutations: permChunk, Alpha: 0.05, Seed: 1, Kind: kind, Kernel: kernel},
+					cfg: Config{Permutations: permChunk, Alpha: 0.05, Seed: 1, Kind: kind},
 				}
-				if kernel == VectorKernel {
+				if !scalar {
 					run.prep = newVectorPrep(fa, fb, g, kind)
 				}
 				sc := run.newScratch()

@@ -18,17 +18,17 @@
 // relationships can be significant. An observed score of zero is never
 // significant (p = 1).
 //
-// Two tau kernels evaluate the randomizations. The scalar kernel walks
-// function 2's feature vertices one at a time through the permutation map
-// and probes function 1's bit vectors per vertex; it is the direct
-// transcription of the paper's definition and stays in-tree as the
-// reference. The vector kernel (the default) transposes both feature sets
-// into lane-padded region-major bit vectors once per test, materializes
-// each randomization with word-level rotate/copy blits, and reads tau off
-// fused popcounts at 64 vertices per word. Both kernels consume identical
-// RNG streams and compute tau from identical integer counts, so their
-// p-values are byte-identical (pinned by TestKernelParity and
-// FuzzKernelParity).
+// Test evaluates the randomizations with the vector kernel: it transposes
+// both feature sets into lane-padded region-major bit vectors once per
+// test, materializes each randomization with word-level rotate/copy
+// blits, and reads tau off fused popcounts at 64 vertices per word.
+// ReferenceTest runs the same test through the scalar walk — function 2's
+// feature vertices one at a time through the permutation map, probing
+// function 1's bit vectors per vertex — the direct transcription of the
+// paper's definition. It is the oracle the vector kernel is tested
+// against, not a runtime option: both consume identical RNG streams and
+// compute tau from identical integer counts, so their p-values are
+// byte-identical (pinned by TestKernelParity and FuzzKernelParity).
 package montecarlo
 
 import (
@@ -55,8 +55,6 @@ var (
 		"Permutations actually evaluated across all tests.")
 	mEarlyStops = obsv.NewCounter("polygamy_montecarlo_early_stops_total",
 		"Tests stopped by adaptive termination before the full permutation budget.")
-	mKernelPermutations = obsv.NewCounterVec("polygamy_mc_kernel_permutations_total",
-		"Permutations evaluated, by tau kernel.", "kernel")
 )
 
 // DefaultPermutations is the paper's |m| = 1,000 toroidal shifts.
@@ -96,45 +94,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Kernel selects the tau evaluation strategy. Both kernels produce
-// byte-identical Results for every input, seed, Kind, and Workers value;
-// the choice is purely a performance knob, which is why it is excluded
-// from query cache signatures and never persisted in snapshots.
-type Kernel int
-
-const (
-	// VectorKernel (the default) evaluates tau with word-level bit blits
-	// and popcounts over lane-padded transposed feature vectors.
-	VectorKernel Kernel = iota
-	// ScalarKernel walks feature vertices one at a time — the reference
-	// implementation the vector kernel is differentially tested against.
-	ScalarKernel
-)
-
-// String implements fmt.Stringer.
-func (k Kernel) String() string {
-	switch k {
-	case VectorKernel:
-		return "vector"
-	case ScalarKernel:
-		return "scalar"
-	default:
-		return "montecarlo.Kernel(?)"
-	}
-}
-
-// ParseKernel maps "vector"/"scalar" to the Kernel constant.
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "vector":
-		return VectorKernel, nil
-	case "scalar":
-		return ScalarKernel, nil
-	default:
-		return 0, fmt.Errorf("montecarlo: unknown kernel %q (want vector or scalar)", s)
-	}
-}
-
 // blockLength picks the temporal block size for Block permutations: about
 // fifty blocks, at least two steps each.
 func blockLength(nSteps int) int {
@@ -151,7 +110,6 @@ type Config struct {
 	Alpha        float64 // significance level; 0 => DefaultAlpha
 	Seed         int64   // RNG seed for reproducibility
 	Kind         Kind    // Restricted or Standard
-	Kernel       Kernel  // tau kernel; zero value is VectorKernel
 
 	// Workers is the number of goroutines evaluating permutation chunks;
 	// <= 1 runs sequentially. The permutations are partitioned into
@@ -782,17 +740,25 @@ func (t *testRun) vectorTauStandard(sc *scratch, vertPerm []int) float64 {
 // stopped tests report the conservative p-value of the truncated stream
 // over Result.Shifts permutations.
 func Test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config) Result {
-	return test(a, b, g, tauObserved, cfg, nil)
+	return test(a, b, g, tauObserved, cfg, false, nil)
 }
 
-// test is Test with an optional per-permutation tau sink, the hook the
-// kernel-parity tests use to compare the full tau streams of both kernels
-// (not just the folded Results). sink is called with the global
-// permutation index; under Workers > 1 calls arrive concurrently from
-// multiple goroutines and may cover chunks past the adaptive stopping
-// point (in-flight work), so parity tests compare streams in Exhaustive
-// mode.
-func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, sink func(perm int, tau float64)) Result {
+// ReferenceTest is Test evaluated by the scalar reference walk instead of
+// the vector kernel. Its Result is byte-identical to Test's for every
+// input; it exists as the differential oracle for parity tests, including
+// those of packages that call Test, and is several times slower.
+func ReferenceTest(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config) Result {
+	return test(a, b, g, tauObserved, cfg, true, nil)
+}
+
+// test is Test with the kernel choice (scalar selects the reference walk)
+// and an optional per-permutation tau sink, the hook the kernel-parity
+// tests use to compare the full tau streams of both kernels (not just the
+// folded Results). sink is called with the global permutation index;
+// under Workers > 1 calls arrive concurrently from multiple goroutines and
+// may cover chunks past the adaptive stopping point (in-flight work), so
+// parity tests compare streams in Exhaustive mode.
+func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, scalar bool, sink func(perm int, tau float64)) Result {
 	cfg = cfg.withDefaults()
 	if a.NumVertices() != g.NumVertices() || b.NumVertices() != g.NumVertices() {
 		panic(fmt.Sprintf("montecarlo: feature sets (%d, %d vertices) do not match graph (%d)",
@@ -809,7 +775,7 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 		cfg:  cfg,
 		sink: sink,
 	}
-	if cfg.Kernel == VectorKernel {
+	if !scalar {
 		run.prep = newVectorPrep(a, b, g, cfg.Kind)
 	}
 	if run.prep == nil || cfg.Kind == Standard {
@@ -838,7 +804,6 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 	p := float64(1+extreme) / float64(1+shifts)
 	mTests.Inc()
 	mPermutations.Add(uint64(shifts))
-	mKernelPermutations.With(cfg.Kernel.String()).Add(uint64(shifts))
 	if shifts < cfg.Permutations {
 		mEarlyStops.Inc()
 	}
@@ -913,7 +878,7 @@ type testRun struct {
 	g          *stgraph.Graph
 	tau        float64
 	cfg        Config
-	prep       *vectorPrep // nil => scalar kernel
+	prep       *vectorPrep // nil => scalar reference walk (ReferenceTest)
 	sink       func(perm int, tau float64)
 }
 

@@ -205,7 +205,7 @@ func TestFollowerManifestFaults(t *testing.T) {
 					return
 				case 2:
 					w.Header().Set("Etag", `"dp-1111222233334444"`)
-					w.Write([]byte("this is not gob"))
+					w.Write([]byte("this is not a manifest"))
 					return
 				}
 			}

@@ -1,7 +1,8 @@
 package store
 
-// Flat section payloads — the mmap-friendly encoding of snapshot format
-// v4 — are sequences of 8-byte little-endian machines words plus
+// Flat payloads — the mmap-friendly encoding of the container manifest,
+// every snapshot section, and the graph-shard wire format — are sequences
+// of 8-byte little-endian machine words plus
 // length-prefixed byte runs padded back to 8-byte alignment. The
 // SlabWriter/SlabReader pair below is the shared codec substrate: every
 // scalar occupies exactly 8 bytes, so any slab (a bit-vector word array, a

@@ -3,23 +3,26 @@
 // snapshot, its relationship-graph snapshot (when built), and a manifest
 // describing what the file holds and which corpus it belongs to.
 //
-// # Container layout (format v4)
+// # Container layout (format v5)
 //
 //	offset 0   magic        [8]byte  "DPOLYSNP"
 //	offset 8   version      uint32   container format version (little-endian)
-//	offset 12  manifestLen  uint32   length of the gob-encoded manifest
-//	offset 16  manifest     gob      Manifest (fingerprint, clause signature,
+//	offset 12  manifestLen  uint32   length of the encoded manifest
+//	offset 16  manifest     slab     Manifest (fingerprint, clause signature,
 //	                                 per-section name/length/CRC table)
-//	...        padding      zeros    to the next 8-byte boundary
 //	...        sections     bytes    section payloads in manifest order, each
 //	                                 zero-padded to an 8-byte boundary
 //
-// Since format v4 every section payload starts on an 8-byte file offset,
-// which is what lets Map hand out zero-copy views whose uint64 bit-vector
-// words alias the mapped file directly (see internal/bitvec.FromBytes).
-// Format v1 — the gob-snapshot generation — packed sections unaligned
-// immediately after the manifest; Read still accepts it, so old snapshots
-// keep loading (via the full-decode fallback in internal/core).
+// The manifest and every section payload use the flat slab encoding of
+// flat.go. The manifest is a whole number of words, so every section
+// payload starts on an 8-byte file offset, which is what lets Map hand out
+// zero-copy views whose uint64 bit-vector words alias the mapped file
+// directly (see internal/bitvec.FromBytes).
+//
+// The version number is the single snapshot generation: the flat section
+// codecs in internal/core stamp the same number into their payloads.
+// Containers of any other version are rejected with ErrVersion; a
+// snapshot holds only derived state, so the remedy is to rebuild it.
 //
 // The manifest is written before the payloads, so a reader can inspect
 // what a container holds — and reject a foreign or stale one — without
@@ -39,35 +42,23 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // Magic identifies a Data Polygamy snapshot container.
 var magic = [8]byte{'D', 'P', 'O', 'L', 'Y', 'S', 'N', 'P'}
 
-// FormatVersion is the container format version this package writes.
-// Version 4 is the mmap-friendly generation: sections are 8-byte aligned
-// so flat payloads can be viewed in place. (Versions 2–3 were never
-// container versions; the number lines up with the snapshot generations —
-// v1–v3 gob sections, v4 flat sections — so "a v4 snapshot" is
-// unambiguous across layers.)
-const FormatVersion = 4
-
-// legacyVersion is the unaligned gob-era container layout, still readable.
-const legacyVersion = 1
-
-// Section payload encodings recorded in the manifest (informational; the
-// decoder sniffs each payload's own magic).
-const (
-	EncodingGob  = "gob"
-	EncodingFlat = "flat"
-)
+// FormatVersion is the snapshot format version this package writes and
+// the only one it reads. Versions 1–3 held gob sections, 4 was the first
+// flat generation (still with a gob manifest); 5 encodes the manifest with
+// the slab codec too, and is the version the flat section payloads carry.
+const FormatVersion = 5
 
 // Well-known section names.
 const (
@@ -79,7 +70,7 @@ const (
 // length field cannot demand an absurd allocation.
 const maxManifestLen = 64 << 20
 
-// sectionAlign is the file-offset alignment of every v4 section payload.
+// sectionAlign is the file-offset alignment of every section payload.
 const sectionAlign = 8
 
 // Sentinel errors; every failure returned by Read wraps one of these, so
@@ -115,9 +106,6 @@ type SectionInfo struct {
 	Name   string
 	Length int64
 	CRC    uint32 // CRC-32C (Castagnoli) of the payload
-	// Encoding names the payload encoding (EncodingGob or EncodingFlat);
-	// empty in manifests written before format v4, which always held gob.
-	Encoding string
 }
 
 // Manifest describes a container: which corpus it belongs to, what was
@@ -135,27 +123,10 @@ type Manifest struct {
 	Sections []SectionInfo
 }
 
-// SnapshotFormat reports the manifest's snapshot generation: 4 when every
-// section uses the flat mmap-friendly encoding, 3 for the gob generation.
-func (m Manifest) SnapshotFormat() int {
-	if len(m.Sections) == 0 {
-		return m.FormatVersion
-	}
-	for _, s := range m.Sections {
-		if s.Encoding != EncodingFlat {
-			return 3
-		}
-	}
-	return 4
-}
-
 // Section is one named payload to persist.
 type Section struct {
 	Name string
 	Data []byte
-	// Encoding is recorded in the manifest's section table (EncodingGob
-	// when empty).
-	Encoding string
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -215,32 +186,24 @@ func writeContainer(w io.Writer, m Manifest, sections []Section) error {
 	// mutate the caller's Manifest.Sections in place.
 	m.Sections = make([]SectionInfo, 0, len(sections))
 	for _, s := range sections {
-		enc := s.Encoding
-		if enc == "" {
-			enc = EncodingGob
-		}
 		m.Sections = append(m.Sections, SectionInfo{
-			Name:     s.Name,
-			Length:   int64(len(s.Data)),
-			CRC:      crc32.Checksum(s.Data, castagnoli),
-			Encoding: enc,
+			Name:   s.Name,
+			Length: int64(len(s.Data)),
+			CRC:    crc32.Checksum(s.Data, castagnoli),
 		})
 	}
-	var mbuf bytes.Buffer
-	if err := gob.NewEncoder(&mbuf).Encode(&m); err != nil {
-		return fmt.Errorf("store: encoding manifest: %w", err)
-	}
+	mbuf := encodeManifest(m)
 	var header [16]byte
 	copy(header[:8], magic[:])
 	binary.LittleEndian.PutUint32(header[8:12], FormatVersion)
-	binary.LittleEndian.PutUint32(header[12:16], uint32(mbuf.Len()))
+	binary.LittleEndian.PutUint32(header[12:16], uint32(len(mbuf)))
 	if _, err := w.Write(header[:]); err != nil {
 		return fmt.Errorf("store: writing header: %w", err)
 	}
-	if _, err := w.Write(mbuf.Bytes()); err != nil {
+	if _, err := w.Write(mbuf); err != nil {
 		return fmt.Errorf("store: writing manifest: %w", err)
 	}
-	off := int64(16 + mbuf.Len())
+	off := int64(16 + len(mbuf))
 	pad := func() error {
 		n := align8(off) - off
 		if n == 0 {
@@ -295,9 +258,6 @@ func parseContainer(data []byte, path string) (Manifest, map[string][]byte, erro
 	}
 	off := int64(len(data)) - int64(br.Len()) // header + manifest bytes consumed
 	skipPad := func() error {
-		if m.FormatVersion < FormatVersion {
-			return nil // v1 packs sections unaligned
-		}
 		end := align8(off)
 		if end > int64(len(data)) {
 			return fmt.Errorf("store: %s: truncated inside section padding: %w", path, ErrCorrupt)
@@ -368,9 +328,9 @@ func readManifest(r io.Reader, path string) (Manifest, error) {
 		return Manifest{}, fmt.Errorf("store: %s: bad magic %q: %w", path, header[:8], ErrNotSnapshot)
 	}
 	v := binary.LittleEndian.Uint32(header[8:12])
-	if v != FormatVersion && v != legacyVersion {
-		return Manifest{}, fmt.Errorf("store: %s: container version %d, this build reads %d and %d: %w",
-			path, v, legacyVersion, FormatVersion, ErrVersion)
+	if v != FormatVersion {
+		return Manifest{}, fmt.Errorf("store: %s: snapshot format version %d, this build reads only %d; "+
+			"the snapshot must be rebuilt (delete it and save again): %w", path, v, FormatVersion, ErrVersion)
 	}
 	mlen := binary.LittleEndian.Uint32(header[12:16])
 	if mlen > maxManifestLen {
@@ -380,11 +340,65 @@ func readManifest(r io.Reader, path string) (Manifest, error) {
 	if _, err := io.ReadFull(r, mbuf); err != nil {
 		return Manifest{}, fmt.Errorf("store: %s: manifest truncated (want %d bytes): %w", path, mlen, ErrCorrupt)
 	}
-	var m Manifest
-	if err := gob.NewDecoder(bytes.NewReader(mbuf)).Decode(&m); err != nil {
-		return Manifest{}, fmt.Errorf("store: %s: decoding manifest: %v: %w", path, err, ErrCorrupt)
+	m, err := parseManifest(mbuf)
+	if err != nil {
+		return Manifest{}, fmt.Errorf("store: %s: decoding manifest: %w", path, err)
 	}
-	// The header, not the manifest's own echo, is authoritative.
+	// The header, not the manifest, carries the version.
 	m.FormatVersion = int(v)
+	return m, nil
+}
+
+// encodeManifest lays the manifest out with the slab codec. The format
+// version lives in the container header, not here.
+func encodeManifest(m Manifest) []byte {
+	w := NewSlabWriter(256)
+	w.I64(m.Fingerprint.Seed)
+	w.I64(m.Fingerprint.MinTS)
+	w.I64(m.Fingerprint.MaxTS)
+	w.U64(uint64(len(m.Fingerprint.Datasets)))
+	for _, ds := range m.Fingerprint.Datasets {
+		w.String(ds)
+	}
+	w.String(m.ClauseSig)
+	w.U64(uint64(len(m.Sections)))
+	for _, s := range m.Sections {
+		w.String(s.Name)
+		w.I64(s.Length)
+		w.U64(uint64(s.CRC))
+	}
+	return w.Finish()
+}
+
+// parseManifest decodes an encodeManifest payload. Every failure wraps
+// ErrCorrupt; counts are bounded by the payload size, so a lying count
+// cannot force a large allocation. Strings are copied out of data: the
+// manifest outlives the buffer it was read from (Map unmaps on Close).
+func parseManifest(data []byte) (Manifest, error) {
+	var m Manifest
+	r := NewSlabReader(data)
+	m.Fingerprint.Seed = r.I64()
+	m.Fingerprint.MinTS = r.I64()
+	m.Fingerprint.MaxTS = r.I64()
+	n := r.Count(8)
+	m.Fingerprint.Datasets = make([]string, 0, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		m.Fingerprint.Datasets = append(m.Fingerprint.Datasets, strings.Clone(r.String()))
+	}
+	m.ClauseSig = strings.Clone(r.String())
+	n = r.Count(24)
+	m.Sections = make([]SectionInfo, 0, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		info := SectionInfo{Name: strings.Clone(r.String()), Length: r.I64()}
+		crc := r.U64()
+		if crc > 0xFFFFFFFF {
+			r.fail("section CRC %#x overflows 32 bits", crc)
+		}
+		info.CRC = uint32(crc)
+		m.Sections = append(m.Sections, info)
+	}
+	if err := r.Done(); err != nil {
+		return Manifest{}, err
+	}
 	return m, nil
 }

@@ -3,11 +3,10 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -265,7 +264,7 @@ func TestWriteDoesNotMutateCallerManifest(t *testing.T) {
 	// A pre-populated table with spare capacity, exactly the shape the bug
 	// needed: len < cap, so in-place appends overwrite live entries.
 	m.Sections = append(make([]SectionInfo, 0, 8),
-		SectionInfo{Name: "caller-owned", Length: 123, CRC: 0xDEAD, Encoding: "gob"})
+		SectionInfo{Name: "caller-owned", Length: 123, CRC: 0xDEAD})
 	want := append([]SectionInfo(nil), m.Sections...)
 
 	path := filepath.Join(t.TempDir(), "corpus.snap")
@@ -285,70 +284,43 @@ func TestWriteDoesNotMutateCallerManifest(t *testing.T) {
 	}
 }
 
-// writeLegacyContainer stages a version-1 container: manifest and sections
-// packed back to back with no alignment padding — the layout every
-// pre-flat snapshot on disk has.
-func writeLegacyContainer(t *testing.T, path string, m Manifest, sections []Section) {
-	t.Helper()
-	m.FormatVersion = legacyVersion
-	m.Sections = nil
-	for _, s := range sections {
-		m.Sections = append(m.Sections, SectionInfo{
-			Name:   s.Name,
-			Length: int64(len(s.Data)),
-			CRC:    crc32.Checksum(s.Data, castagnoli),
-		})
-	}
-	var mbuf bytes.Buffer
-	if err := gob.NewEncoder(&mbuf).Encode(&m); err != nil {
-		t.Fatal(err)
-	}
-	var file bytes.Buffer
-	file.Write(magic[:])
-	var word [4]byte
-	binary.LittleEndian.PutUint32(word[:], legacyVersion)
-	file.Write(word[:])
-	binary.LittleEndian.PutUint32(word[:], uint32(mbuf.Len()))
-	file.Write(word[:])
-	file.Write(mbuf.Bytes())
-	for _, s := range sections {
-		file.Write(s.Data)
-	}
-	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestReadAcceptsLegacyV1Container pins backward compatibility: unaligned
-// version-1 containers still read (and map) correctly, with the header
-// version reported through the manifest.
-func TestReadAcceptsLegacyV1Container(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.snap")
-	writeLegacyContainer(t, path, testManifest(), testSections())
-	m, secs, err := Read(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.FormatVersion != legacyVersion {
-		t.Errorf("FormatVersion = %d, want %d", m.FormatVersion, legacyVersion)
-	}
-	for _, want := range testSections() {
-		if !bytes.Equal(secs[want.Name], want.Data) {
-			t.Errorf("legacy section %q differs", want.Name)
+// TestReadRejectsPreFlatContainers is the upgrade contract: containers
+// from earlier generations — version 1 (unaligned, gob manifest and
+// sections) and version 4 (gob manifest, flat sections) — are refused by
+// every entry point with ErrVersion and a message saying the snapshot
+// must be rebuilt, before any of their bytes are decoded.
+func TestReadRejectsPreFlatContainers(t *testing.T) {
+	for _, v := range []uint32{1, 4} {
+		var file bytes.Buffer
+		file.Write(magic[:])
+		var word [4]byte
+		binary.LittleEndian.PutUint32(word[:], v)
+		file.Write(word[:])
+		manifest := []byte("\x1f\xff\x81\x03\x01\x01\x08Manifest") // a gob stream header
+		binary.LittleEndian.PutUint32(word[:], uint32(len(manifest)))
+		file.Write(word[:])
+		file.Write(manifest)
+		file.WriteString("section payloads")
+		path := filepath.Join(t.TempDir(), "stale.snap")
+		if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Map takes the same parse path.
-	mp, err := Map(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mp.Close()
-	if got, _ := mp.Section(SectionGraph); !bytes.Equal(got, testSections()[1].Data) {
-		t.Error("legacy graph section differs through Map")
-	}
-	// Legacy containers with no Encoding fields report the gob generation.
-	if got := m.SnapshotFormat(); got != 3 {
-		t.Errorf("SnapshotFormat = %d, want 3", got)
+		check := func(entry string, err error) {
+			t.Helper()
+			if !errors.Is(err, ErrVersion) {
+				t.Errorf("v%d %s: err = %v, want ErrVersion", v, entry, err)
+			} else if !strings.Contains(err.Error(), "rebuilt") {
+				t.Errorf("v%d %s: error does not say to rebuild: %v", v, entry, err)
+			}
+		}
+		_, _, err := Read(path)
+		check("Read", err)
+		_, err = Map(path)
+		check("Map", err)
+		_, err = ReadManifest(path)
+		check("ReadManifest", err)
+		_, err = OpenFile(path)
+		check("OpenFile", err)
 	}
 }
 
@@ -357,25 +329,17 @@ func TestReadAcceptsLegacyV1Container(t *testing.T) {
 // corrupt instead of attempting the allocation (the manifest itself has
 // no checksum, so a bit flip there must still fail safely).
 func TestReadRejectsLyingSectionLength(t *testing.T) {
-	m := Manifest{
-		FormatVersion: FormatVersion,
-		Sections:      []SectionInfo{{Name: SectionIndex, Length: 1 << 60, CRC: 0}},
-	}
-	var mbuf bytes.Buffer
-	if err := gob.NewEncoder(&mbuf).Encode(&m); err != nil {
-		t.Fatal(err)
-	}
+	mbuf := encodeManifest(Manifest{
+		Sections: []SectionInfo{{Name: SectionIndex, Length: 1 << 60, CRC: 0}},
+	})
 	var file bytes.Buffer
 	file.WriteString("DPOLYSNP")
 	var word [4]byte
 	binary.LittleEndian.PutUint32(word[:], FormatVersion)
 	file.Write(word[:])
-	binary.LittleEndian.PutUint32(word[:], uint32(mbuf.Len()))
+	binary.LittleEndian.PutUint32(word[:], uint32(len(mbuf)))
 	file.Write(word[:])
-	file.Write(mbuf.Bytes())
-	for file.Len()%8 != 0 {
-		file.WriteByte(0) // v4 pads to the section alignment after the manifest
-	}
+	file.Write(mbuf)
 	file.WriteString("tiny payload")
 
 	path := filepath.Join(t.TempDir(), "lying.snap")
@@ -389,4 +353,46 @@ func TestReadRejectsLyingSectionLength(t *testing.T) {
 	if !strings.Contains(err.Error(), SectionIndex) {
 		t.Errorf("error does not name the section: %v", err)
 	}
+}
+
+// TestManifestRoundTrip: the slab manifest codec preserves every field,
+// and the decoded strings do not alias the payload they came from.
+func TestManifestRoundTrip(t *testing.T) {
+	m := testManifest()
+	m.Sections = []SectionInfo{{Name: SectionIndex, Length: 1003, CRC: 0xFFFFFFFF}, {Name: SectionGraph, Length: 0, CRC: 7}}
+	data := encodeManifest(m)
+	got, err := parseManifest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("round trip:\n got  %+v\n want %+v", got, m)
+	}
+	for i := range data {
+		data[i] = 0
+	}
+	if got.Fingerprint.Datasets[0] != "taxi" || got.Sections[0].Name != SectionIndex {
+		t.Errorf("decoded manifest aliases its payload: %+v", got)
+	}
+	if _, err := parseManifest(append(encodeManifest(m), make([]byte, 8)...)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("trailing word: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// FuzzParseManifest: the manifest is read before any checksum can vouch
+// for it, so the parser must never panic and must fail only with errors
+// wrapping ErrCorrupt.
+func FuzzParseManifest(f *testing.F) {
+	m := testManifest()
+	m.Sections = []SectionInfo{{Name: SectionIndex, Length: 999, CRC: 0xABCD}, {Name: SectionGraph, Length: 13, CRC: 1}}
+	full := encodeManifest(m)
+	f.Add(full)
+	f.Add(full[:len(full)-8])
+	f.Add(encodeManifest(Manifest{}))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := parseManifest(data); err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("non-ErrCorrupt failure: %v", err)
+		}
+	})
 }

@@ -50,7 +50,7 @@ import (
 //
 // Once BuildIndex has succeeded, Query and every other read method are
 // safe for concurrent use from any number of goroutines; AddDataset,
-// BuildIndex, and LoadIndex take the framework's state lock exclusively.
+// BuildIndex, and Load take the framework's state lock exclusively.
 // Identical concurrent queries are deduplicated: one evaluation runs and
 // the other callers wait for its result (QueryStats.Coalesced). See the
 // core.Framework documentation for the full concurrency contract.
@@ -182,25 +182,6 @@ const (
 	// alignment is broken.
 	BlockTest = montecarlo.Block
 )
-
-// KernelKind selects the Monte Carlo tau kernel. Both kernels are
-// byte-identical; the knob exists for benchmarking and differential
-// verification of the word-level vector kernel against the scalar
-// reference.
-type KernelKind = montecarlo.Kernel
-
-// Tau kernels.
-const (
-	// VectorKernel (default) evaluates permutations with word-level bit
-	// blits and popcounts over lane-padded transposed feature vectors.
-	VectorKernel = montecarlo.VectorKernel
-	// ScalarKernel walks feature vertices one at a time — the reference
-	// implementation.
-	ScalarKernel = montecarlo.ScalarKernel
-)
-
-// ParseKernel parses a kernel name ("vector" or "scalar").
-func ParseKernel(s string) (KernelKind, error) { return montecarlo.ParseKernel(s) }
 
 // ScalarKind distinguishes density, unique, and attribute functions.
 type ScalarKind = scalar.Kind
