@@ -188,6 +188,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"polygamy_query_duration_seconds_bucket{le=\"+Inf\"}",
 		"# TYPE polygamy_query_stage_duration_seconds histogram",
 		"# TYPE polygamy_montecarlo_tests_total counter",
+		"# TYPE polygamy_montecarlo_plan_chunks_total counter",
 		"# TYPE polygamy_index_builds_total counter",
 		"# TYPE polygamy_jobs_active gauge",
 		"# TYPE polygamy_http_requests_total counter",

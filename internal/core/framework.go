@@ -36,6 +36,7 @@ import (
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/mapreduce"
+	"github.com/urbandata/datapolygamy/internal/montecarlo"
 	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/scalar"
 	"github.com/urbandata/datapolygamy/internal/spatial"
@@ -144,6 +145,17 @@ type Framework struct {
 	index *Index
 	built bool // BuildIndex or Load has succeeded at least once
 
+	// plans holds one Monte Carlo randomization plan per evaluation
+	// resolution, indexed by spatial.Resolution and built in New. Every
+	// significance test at that resolution reads its toroidal shifts and
+	// rotation words from it; sharing it is what spares each test the
+	// per-randomization shift construction. A plan depends only on the
+	// city's region adjacency and opts.Seed — never on the pair, the query
+	// or the corpus extent — so plans survive rebuilds, appends and Load,
+	// and p-values stay independent of enumeration order, append history
+	// and sharding.
+	plans [spatial.City + 1]*montecarlo.Plan
+
 	// Materialized relationship graph (see relgraph.go). graphMu serializes
 	// graph builders and guards the per-pair candidate cache (every tested
 	// relationship with its raw p-value — the corpus-wide hypothesis family
@@ -209,13 +221,16 @@ func New(opts Options) (*Framework, error) {
 		if r == spatial.GPS {
 			return nil, fmt.Errorf("core: GPS is not an evaluation resolution")
 		}
+		if !r.Valid() {
+			return nil, fmt.Errorf("core: unknown evaluation resolution %v", r)
+		}
 	}
 	for _, r := range opts.EvalTemporal {
 		if r == temporal.Second {
 			return nil, fmt.Errorf("core: second is not an evaluation resolution")
 		}
 	}
-	return &Framework{
+	f := &Framework{
 		opts:      opts,
 		datasets:  make(map[string]*dataset.Dataset),
 		index:     newIndex(),
@@ -223,7 +238,11 @@ func New(opts Options) (*Framework, error) {
 		graphs:    make(map[Resolution]*stgraph.Graph),
 		cache:     make(map[string]*cachedResult),
 		inflight:  make(map[string]*inflightQuery),
-	}, nil
+	}
+	for _, r := range opts.EvalSpatial {
+		f.plans[r] = montecarlo.NewPlan(opts.City.Adjacency(r), opts.Seed)
+	}
+	return f, nil
 }
 
 // workers returns the effective worker-pool size.

@@ -29,9 +29,10 @@ import (
 // cached numbers, with no Monte Carlo re-runs. A full recompute happens
 // only when the clause changes or the index itself fully rebuilds (corpus
 // time-range extension drops all derived state). Per-pair Monte Carlo
-// seeds are derived from the pair identity (pairSeed), so an incrementally
-// maintained graph — q-values included — is byte-identical to a
-// from-scratch rebuild, and under Correction: none every edge is
+// seeds are derived from the pair identity (pairSeed) and the shared
+// randomization plans from the framework seed (Framework.plans), so an
+// incrementally maintained graph — q-values included — is byte-identical
+// to a from-scratch rebuild, and under Correction: none every edge is
 // byte-identical to what a direct Query for that pair returns.
 //
 // Locking: a build only reads post-BuildIndex-immutable state, so
@@ -68,11 +69,23 @@ type GraphStats struct {
 // instead of re-running the all-pairs Monte Carlo fan-out. Alpha stays in
 // the signature because the adaptive early stop — and thus the recorded
 // p-values of insignificant candidates — depends on it.
+//
+// The randomization-scheme tag names how the cached p-values were drawn
+// (randScheme). A candidate cache saved under another scheme — a snapshot
+// or graph shard written before the shared randomization plan — carries a
+// different signature, so it is re-tested wholesale instead of reused or
+// delta-refreshed next to p-values of the current scheme.
 func graphSignature(clause Clause) string {
 	clause.Correction = stats.None
 	clause.MaxQ = 0
-	return querySignature(nil, nil, clause)
+	return querySignature(nil, nil, clause) + "|rand=" + randScheme
 }
+
+// randScheme identifies the Monte Carlo randomization scheme behind every
+// p-value this engine computes: plan1 is one montecarlo.Plan per spatial
+// resolution seeded with Options.Seed. Bump it whenever a change would
+// alter the p-value of any candidate.
+const randScheme = "plan1"
 
 // graphSelection is the edge-selection rule applied when assembling the
 // published graph from the candidate cache: the correction, its level, and

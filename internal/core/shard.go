@@ -16,9 +16,10 @@ import (
 // fan-out — the most expensive computation in the system — partitioned
 // across replicas. The pair space is split by a deterministic hash of the
 // unordered data set pair (PairShard), each shard computes its pairs'
-// tested candidate families with the same deterministic per-pair seeds a
-// local build would use (pairSeed derives from pair identity alone, never
-// from enumeration order), and the leader merges the per-pair caches and
+// tested candidate families with the same deterministic per-pair seeds and
+// randomization plans a local build would use (pairSeed derives from pair
+// identity alone, the plans from the framework seed alone, never from
+// enumeration order), and the leader merges the per-pair caches and
 // assembles the published graph. Because every per-pair candidate list is
 // independent of which process computed it, the merged graph — edges,
 // p-values, corpus-wide q-values, and DOT export — is byte-identical to a

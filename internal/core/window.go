@@ -95,6 +95,7 @@ func (f *Framework) runSignificance(t pairTask, clause Clause, s1, s2 *feature.S
 		Alpha:        clause.Alpha,
 		Seed:         t.seed,
 		Kind:         clause.TestKind,
+		Plan:         f.plans[t.e1.Res.Spatial],
 		Workers:      mcWorkers,
 		Exhaustive:   clause.Exhaustive,
 	}

@@ -223,7 +223,8 @@ func TestChunkSteadyStateAllocs(t *testing.T) {
 			run := &testRun{
 				a: a, pos2: b.Positive.Ones(), neg2: b.Negative.Ones(),
 				g: g, tau: 0.9,
-				cfg: Config{Permutations: 200, Alpha: 0.05, Seed: 5, Kind: kind},
+				cfg:  Config{Permutations: 200, Alpha: 0.05, Seed: 5, Kind: kind},
+				plan: NewPlan(g.SpatialAdjacency(), 5),
 			}
 			if !scalar {
 				run.prep = newVectorPrep(a, b, g, kind)
@@ -289,7 +290,8 @@ func BenchmarkShiftedTauKernel(b *testing.B) {
 				run := &testRun{
 					a: fa, pos2: fb.Positive.Ones(), neg2: fb.Negative.Ones(),
 					g: g, tau: 0.9,
-					cfg: Config{Permutations: permChunk, Alpha: 0.05, Seed: 1, Kind: kind},
+					cfg:  Config{Permutations: permChunk, Alpha: 0.05, Seed: 1, Kind: kind},
+					plan: NewPlan(g.SpatialAdjacency(), 1),
 				}
 				if !scalar {
 					run.prep = newVectorPrep(fa, fb, g, kind)

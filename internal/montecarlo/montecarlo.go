@@ -18,6 +18,31 @@
 // relationships can be significant. An observed score of zero is never
 // significant (p = 1).
 //
+// # Randomization plan
+//
+// The spatial shifts depend only on the region graph and the RNG, never on
+// the data, so they are drawn once per (region adjacency, seed) in a Plan
+// and shared by every test over that region set — in the engine, by every
+// candidate pair of a spatial resolution. Randomization k of every sharing
+// test applies the same toroidal shift k; Restricted tests also share its
+// raw rotation word, which each test reduces to its own (tile-compacted)
+// step count S as rot = 1 + floor(word*(S-1) / 2^64). What depends on S
+// beyond that — Block's block order, Standard's vertex permutation — is
+// still drawn per test from Config.Seed.
+//
+// Each test stays a valid permutation test: the plan is fixed before, and
+// independently of, the feature sets it is applied to, so under the null
+// the observed tau is exchangeable with the randomized ones exactly as
+// with private draws. What changes is the joint behavior across pairs:
+// tests sharing a plan are dependent (they reuse one null-randomization
+// sequence), which Benjamini–Yekutieli control tolerates by construction
+// and Benjamini–Hochberg's positive-dependence assumption has to be
+// checked for empirically. Plans are drawn lazily, one permChunk chunk at a
+// time, and a chunk holds permChunk × R int32 region images plus permChunk
+// words: about 190 KB for R = 48 regions at |m| = 1,000. A plan keeps only
+// its first 10,000 randomizations; chunks past them are redrawn per use,
+// so no Config.Permutations value can grow a shared plan without bound.
+//
 // Test evaluates the randomizations with the vector kernel: it transposes
 // both feature sets into lane-padded region-major bit vectors once per
 // test, materializes each randomization with word-level rotate/copy
@@ -26,9 +51,10 @@
 // feature vertices one at a time through the permutation map, probing
 // function 1's bit vectors per vertex — the direct transcription of the
 // paper's definition. It is the oracle the vector kernel is tested
-// against, not a runtime option: both consume identical RNG streams and
-// compute tau from identical integer counts, so their p-values are
-// byte-identical (pinned by TestKernelParity and FuzzKernelParity).
+// against, not a runtime option: both read the same plan, consume
+// identical RNG streams and compute tau from identical integer counts, so
+// their p-values are byte-identical (pinned by TestKernelParity and
+// FuzzKernelParity).
 package montecarlo
 
 import (
@@ -109,13 +135,20 @@ type Config struct {
 	Permutations int     // number of randomizations |m|; 0 => DefaultPermutations
 	Alpha        float64 // significance level; 0 => DefaultAlpha
 	Seed         int64   // RNG seed for reproducibility
-	Kind         Kind    // Restricted or Standard
+	Kind         Kind    // Restricted, Standard or Block
+
+	// Plan supplies the spatial shifts (Restricted, Block) and rotation
+	// words (Restricted) of the randomizations; its region count must
+	// match the graph's. Tests sharing a Plan share those draws. Nil
+	// builds a private plan from the graph's adjacency and Seed.
+	Plan *Plan
 
 	// Workers is the number of goroutines evaluating permutation chunks;
 	// <= 1 runs sequentially. The permutations are partitioned into
-	// fixed-size chunks whose RNGs are seeded deterministically from Seed
-	// and the chunk index, so the Result is byte-identical for every
-	// Workers value (including the sequential path).
+	// fixed-size chunks whose RNGs (and plan chunks) are keyed
+	// deterministically by the chunk index, so the Result is
+	// byte-identical for every Workers value (including the sequential
+	// path).
 	Workers int
 
 	// Exhaustive disables adaptive early termination, forcing all
@@ -525,7 +558,6 @@ type scratch struct {
 
 	perm     []int // Standard: vertex perm; Block: block perm
 	stepPerm []int // scalar Block kernel: materialized step bijection
-	shift    shiftScratch
 
 	// Vector kernel outputs: function 2's permuted positive/negative
 	// vectors (transposed layout for Restricted/Block, vertex-major for
@@ -613,14 +645,14 @@ func (t *testRun) countTau(sc *scratch, aPos, aNeg, aAll *bitvec.Vector) float64
 // precisely because a lane is only ever counted in the same iteration that
 // overwrote it. Padding bits [nSteps, laneBits) are never written and stay
 // zero forever.
-func (t *testRun) vectorTauRestricted(sc *scratch, spatPerm []int, rot int) float64 {
+func (t *testRun) vectorTauRestricted(sc *scratch, spatPerm []int32, rot int) float64 {
 	p := t.prep
 	R, S, lb := t.g.NumRegions(), t.g.NumSteps(), p.laneBits
 	var pp, bp, pn, bn int
 	for r := 0; r < R; r++ {
 		dst := r
 		if spatPerm != nil {
-			dst = spatPerm[r]
+			dst = int(spatPerm[r])
 		}
 		if !p.aAllLane[dst] {
 			continue
@@ -648,14 +680,14 @@ func (t *testRun) vectorTauRestricted(sc *scratch, spatPerm []int, rot int) floa
 // destination lane is overwritten), then the lane lands at spatPerm[r] and
 // is counted in place. Lane skipping and staleness follow the same
 // argument as vectorTauRestricted.
-func (t *testRun) vectorTauBlock(sc *scratch, spatPerm, blockPerm []int, l int) float64 {
+func (t *testRun) vectorTauBlock(sc *scratch, spatPerm []int32, blockPerm []int, l int) float64 {
 	p := t.prep
 	R, S, lb := t.g.NumRegions(), t.g.NumSteps(), p.laneBits
 	var pp, bp, pn, bn int
 	for r := 0; r < R; r++ {
 		dst := r
 		if spatPerm != nil {
-			dst = spatPerm[r]
+			dst = int(spatPerm[r])
 		}
 		if !p.aAllLane[dst] {
 			continue
@@ -720,15 +752,16 @@ func (t *testRun) vectorTauStandard(sc *scratch, vertPerm []int) float64 {
 // two feature sets on the shared domain graph g, given the observed score
 // tauObserved.
 //
-// Restricted mode: when the domain has more than one region, each
-// randomization applies a fresh toroidal shift of the regions; time is
-// additionally rotated to respect temporal wrap-around. For pure time
-// series (one region), only the circular time rotation is used.
-// Standard mode permutes all vertices uniformly.
+// Restricted mode: when the domain has more than one region, randomization
+// k applies toroidal shift k of the plan (Config.Plan); time is
+// additionally rotated by the plan's rotation word k to respect temporal
+// wrap-around. For pure time series (one region), only the circular time
+// rotation is used. Block mode applies the plan's shifts with per-test
+// block orders; Standard mode permutes all vertices uniformly.
 //
 // The randomizations run in fixed-size chunks with per-chunk deterministic
-// seeds; Config.Workers spreads the chunks over goroutines without changing
-// the result (see Config).
+// seeds and plan chunks; Config.Workers spreads the chunks over goroutines
+// without changing the result (see Config).
 //
 // Unless Config.Exhaustive is set, the test terminates adaptively: it
 // stops at the first chunk boundary where the exceedance count reaches
@@ -774,6 +807,16 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 		tau:  tauObserved,
 		cfg:  cfg,
 		sink: sink,
+	}
+	if cfg.Kind != Standard {
+		run.plan = cfg.Plan
+		if run.plan == nil {
+			run.plan = NewPlan(g.SpatialAdjacency(), cfg.Seed)
+		}
+		if len(run.plan.adj) != g.NumRegions() {
+			panic(fmt.Sprintf("montecarlo: plan has %d regions, graph has %d",
+				len(run.plan.adj), g.NumRegions()))
+		}
 	}
 	if !scalar {
 		run.prep = newVectorPrep(a, b, g, cfg.Kind)
@@ -879,16 +922,18 @@ type testRun struct {
 	tau        float64
 	cfg        Config
 	prep       *vectorPrep // nil => scalar reference walk (ReferenceTest)
+	plan       *Plan       // shifts and rotation words; nil for Standard
 	sink       func(perm int, tau float64)
 }
 
 // chunk counts the extreme randomizations among permutation indices
-// [ci*permChunk, min((ci+1)*permChunk, |m|)) using the chunk's own
-// deterministically seeded RNG stream from sc. The random draws — vertex
-// or block permutation, time rotation, toroidal shift — happen on one
-// shared path in the historical order, so both kernels (and any future
-// one) consume identical streams by construction; only the tau evaluation
-// branches on the kernel.
+// [ci*permChunk, min((ci+1)*permChunk, |m|)). Spatial shifts and rotation
+// words come from plan chunk ci; the draws that depend on this test's step
+// count — vertex and block permutations — come from the chunk's own
+// deterministically seeded RNG stream in sc. The randomizations are built
+// on one shared path, so both kernels (and any future one) see identical
+// randomizations by construction; only the tau evaluation branches on the
+// kernel.
 func (t *testRun) chunk(ci int, sc *scratch) int {
 	sc.src.state = uint64(chunkSeed(t.cfg.Seed, ci))
 	rng := sc.rng
@@ -899,6 +944,10 @@ func (t *testRun) chunk(ci int, sc *scratch) int {
 	n := t.cfg.Permutations - ci*permChunk
 	if n > permChunk {
 		n = permChunk
+	}
+	var pc *planChunk
+	if t.plan != nil {
+		pc = t.plan.chunk(ci)
 	}
 	extreme := 0
 	for k := 0; k < n; k++ {
@@ -917,10 +966,7 @@ func (t *testRun) chunk(ci int, sc *scratch) int {
 			nBlocks := (nSteps + l - 1) / l
 			blockPerm := sc.intBuf(nBlocks)
 			permInto(rng, blockPerm)
-			var spatPerm []int
-			if nRegions > 1 {
-				spatPerm = sc.shift.toroidal(g.SpatialAdjacency(), rng)
-			}
+			spatPerm := pc.shift(k, nRegions)
 			if t.prep != nil {
 				tauK = t.vectorTauBlock(sc, spatPerm, blockPerm, l)
 			} else {
@@ -929,27 +975,21 @@ func (t *testRun) chunk(ci int, sc *scratch) int {
 				tauK = shiftedTau(t.a, t.pos2, t.neg2, func(v int) int {
 					r, s := g.RegionStep(v)
 					if spatPerm != nil {
-						r = spatPerm[r]
+						r = int(spatPerm[r])
 					}
 					return g.Vertex(r, stepPerm[s])
 				})
 			}
 		default: // Restricted
-			rot := 0
-			if nSteps > 1 {
-				rot = 1 + rng.Intn(nSteps-1)
-			}
-			var spatPerm []int
-			if nRegions > 1 {
-				spatPerm = sc.shift.toroidal(g.SpatialAdjacency(), rng)
-			}
+			rot := pc.rotation(k, nSteps)
+			spatPerm := pc.shift(k, nRegions)
 			if t.prep != nil {
 				tauK = t.vectorTauRestricted(sc, spatPerm, rot)
 			} else if spatPerm != nil {
 				perm := spatPerm
 				tauK = shiftedTau(t.a, t.pos2, t.neg2, func(v int) int {
 					r, s := g.RegionStep(v)
-					return g.Vertex(perm[r], (s+rot)%nSteps)
+					return g.Vertex(int(perm[r]), (s+rot)%nSteps)
 				})
 			} else {
 				tauK = shiftedTau(t.a, t.pos2, t.neg2, func(v int) int {
